@@ -3,11 +3,11 @@
 The shared-timeline rack (:mod:`repro.cluster`) composes every server
 onto one simulator in one process; this package runs the same rack as a
 real fleet: each server slice lives in a spawned worker process
-(:mod:`repro.dist.worker`), a length-prefixed JSON wire protocol
-(:mod:`repro.dist.wire`) carries dispatch/completion/heartbeat traffic
-over loopback TCP or Unix sockets, and a streaming replayer
-(:mod:`repro.dist.replay`) feeds generated or recorded workloads at a
-configurable speed factor. The coordinator
+(:mod:`repro.dist.worker`), a length-prefixed wire protocol
+(:mod:`repro.dist.wire`; binary step frames, JSON for the rest) carries
+dispatch/completion/heartbeat traffic over loopback TCP or Unix
+sockets, and a streaming replayer (:mod:`repro.dist.replay`) feeds
+generated or recorded workloads at a configurable speed factor. The coordinator
 (:mod:`repro.dist.coordinator`) keeps the fleet layer — balancer,
 arrival streams, fault schedule — bit-compatible with the rack's and
 merges per-node metrics through the :mod:`repro.obs` snapshot/merge
@@ -36,8 +36,6 @@ from repro.dist.replay import (
     write_trace,
 )
 from repro.dist.wire import (
-    CAPABILITIES,
-    TELEMETRY_CAPABILITY,
     Channel,
     ChannelClosed,
     ChannelTimeout,
@@ -50,7 +48,6 @@ from repro.dist.wire import (
 
 __all__ = [
     "ArrivalSource",
-    "CAPABILITIES",
     "Channel",
     "ChannelClosed",
     "ChannelTimeout",
@@ -61,7 +58,6 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "ReplayPacer",
-    "TELEMETRY_CAPABILITY",
     "TraceFileSource",
     "TraceRecord",
     "TRANSPORTS",

@@ -50,8 +50,6 @@ from repro.dist.wire import (
     DEFAULT_BACKOFF_CAP_S,
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
-    TELEMETRY_CAPABILITY,
-    WIRE_VERSIONS,
     Channel,
     ChannelClosed,
     ChannelTimeout,
@@ -77,9 +75,9 @@ LOAD_OBLIVIOUS_POLICIES = ("rss", "round-robin")
 
 # Measured on the cluster_scaleout fast grid (docs/distributed.md):
 # at 4 windows of lookahead the load-aware p99 stays inside the same
-# <=0.12 envelope the one-window lockstep protocol had (worst row
-# 0.105); at 8 windows the stale-feedback drift breaches the CI gate
-# (worst row 0.34), so 4 is the default ceiling.
+# <=0.12 envelope one window per exchange had (worst row 0.105); at 8
+# windows the stale-feedback drift breaches the CI gate (worst row
+# 0.34), so 4 is the ceiling.
 LOAD_AWARE_LOOKAHEAD = 4
 
 
@@ -98,19 +96,16 @@ class DistOptions:
     ``workers`` processes split the rack's servers round-robin; a fleet
     never spawns more workers than servers. ``speed_factor`` paces the
     replay against the wall clock (0 = max speed, the CI default).
-    ``wire`` picks the hot-path frame encoding (``"v2"`` binary by
-    default, ``"v1"`` forces JSON — the PR 7 behaviour). ``lookahead``
-    caps how many pre-steered windows ship per RPC exchange (``None`` =
-    derive a safe depth from the balancer policy and the fault
-    schedule; ``1`` restores strict lockstep).
+    ``heartbeat_events`` is how many events a worker retires between
+    heartbeats while executing a step.
     ``crash_worker``/``crash_worker_at`` inject an abrupt worker death
     (``os._exit`` mid-step) for failover testing.
 
     ``telemetry_interval_s`` sets the workers' live-telemetry sampling
     cadence in simulated seconds once a bus is attached
-    (``run_cluster_dist(..., telemetry=...)``); ``0`` negotiates the
-    capability but leaves sampling off (workers build null samplers —
-    the priced "disabled" path of the ``telemetry_overhead`` bench).
+    (``run_cluster_dist(..., telemetry=...)``); ``0`` attaches the bus
+    but leaves sampling off (workers build null samplers — the priced
+    "disabled" path of the ``telemetry_overhead`` bench).
     ``flight_recorder_dir`` pins where a crash post-mortem dump is
     written (default: the system temp dir).
     """
@@ -118,8 +113,6 @@ class DistOptions:
     workers: int = 2
     transport: str = "unix"
     speed_factor: float = 0.0
-    wire: str = "v2"
-    lookahead: Optional[int] = None
     timeout_s: float = 30.0
     retries: int = DEFAULT_RETRIES
     backoff_s: float = DEFAULT_BACKOFF_S
@@ -140,12 +133,8 @@ class DistOptions:
             )
         if self.speed_factor < 0:
             raise ValueError("speed_factor must be >= 0 (0 = max speed)")
-        if self.wire not in WIRE_VERSIONS:
-            raise ValueError(
-                f"unknown wire version {self.wire!r}; known: {WIRE_VERSIONS}"
-            )
-        if self.lookahead is not None and self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1 (or None for auto)")
+        if self.heartbeat_events < 1:
+            raise ValueError("heartbeat_events must be >= 1")
         if self.timeout_s <= 0 or self.spawn_timeout_s <= 0:
             raise ValueError("timeouts must be positive")
         if self.backoff_s < 0 or self.backoff_cap_s <= 0:
@@ -154,8 +143,7 @@ class DistOptions:
             raise ValueError("crash_worker and crash_worker_at go together")
         if self.telemetry_interval_s < 0:
             raise ValueError(
-                "telemetry_interval_s must be >= 0 (0 = capability "
-                "negotiated, sampling off)"
+                "telemetry_interval_s must be >= 0 (0 = sampling off)"
             )
 
 
@@ -167,12 +155,6 @@ class WorkerHandle:
     channel: Optional[Channel] = None
     alive: bool = True
     last_heartbeat_t: float = 0.0
-    # Wire versions the worker's hello advertised (old workers predate
-    # the field and only speak JSON).
-    wire_versions: Tuple[str, ...] = ("v1",)
-    # Optional capabilities from hello (telemetry, ...); absent for old
-    # workers, so everything stays off against them.
-    caps: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -292,8 +274,6 @@ class WorkerPool:
                     )
                 channel.name = f"worker{worker_id}"
                 handle.channel = channel
-                handle.wire_versions = tuple(hello.get("wire", ("v1",)))
-                handle.caps = tuple(hello.get("caps", ()))
         except Exception:
             self.close()
             raise
@@ -457,8 +437,8 @@ def run_cluster_dist(
     :class:`repro.dist.replay.ArrivalSource` (e.g. a recorded trace).
 
     ``telemetry`` optionally attaches a
-    :class:`repro.obs.live.TelemetryBus`: the coordinator negotiates
-    the capability with capable workers, folds the telemetry frames
+    :class:`repro.obs.live.TelemetryBus`: the coordinator switches on
+    every worker's sampler, folds the telemetry frames
     riding on step replies and heartbeats into the bus as they arrive,
     and on a worker crash attaches the dead worker's flight-recorder
     window to the fault record and dumps a post-mortem file (path in
@@ -568,14 +548,6 @@ def run_cluster_dist(
     try:
         import dataclasses
 
-        # Hot-path encoding: v2 only when every worker advertised it (a
-        # mixed fleet would still decode — frames are self-describing —
-        # but a uniform pick keeps the provenance block honest).
-        wire = options.wire
-        if any("v2" not in h.wire_versions for h in pool.handles):
-            wire = "v1"
-        info["wire"] = wire
-
         config_dict = dataclasses.asdict(config)
         configure = {}
         for handle in pool.handles:
@@ -586,15 +558,11 @@ def run_cluster_dist(
                 "warmup": warmup,
                 "metrics": collect_metrics,
                 "heartbeat_events": options.heartbeat_events,
-                "wire": wire,
             }
             if telemetry is not None:
-                if TELEMETRY_CAPABILITY in handle.caps:
-                    message["telemetry"] = {
-                        "interval_s": options.telemetry_interval_s,
-                    }
-                else:
-                    telemetry.no_telemetry_workers.add(handle.worker_id)
+                message["telemetry"] = {
+                    "interval_s": options.telemetry_interval_s,
+                }
             if options.crash_worker == handle.worker_id:
                 message["crash_at"] = options.crash_worker_at
             configure[handle.worker_id] = message
@@ -616,9 +584,6 @@ def run_cluster_dist(
                 f"workers failed during configure: "
                 f"{sorted(h.worker_id for h in died)}"
             )
-        if wire == "v2":
-            for handle in pool.handles:
-                handle.channel.wire_version = 2
 
         def fail_worker(handle: WorkerHandle, at: float, redisp_heap, seq) -> None:
             """Crash-fault handling for a vanished worker process."""
@@ -673,8 +638,9 @@ def run_cluster_dist(
 
         # -- the batched lookahead window loop ----------------------------
         #
-        # Same per-window steering and fold as the PR 7 lockstep
-        # protocol, but K windows travel per RPC exchange. K is safe
+        # Windows are steered and folded one at a time, exactly as if
+        # each took its own exchange, but K of them travel per RPC
+        # exchange. K is safe
         # because every cross-window dependency is bounded:
         #   * load-oblivious placement (rss, round-robin) never reads
         #     completion feedback, so steering ahead is exact;
@@ -699,15 +665,12 @@ def run_cluster_dist(
         collected_replies: Dict[int, Dict[str, Any]] = {}
         failover = config.failover_delay_s
 
-        if options.lookahead is not None:
-            max_ahead = options.lookahead
-        elif options.speed_factor > 0:
+        if options.speed_factor > 0:
             max_ahead = 1  # pacing wants per-window wall-clock granularity
         elif config.balancer in LOAD_OBLIVIOUS_POLICIES:
             max_ahead = windows_per_chunk
         else:
             max_ahead = min(LOAD_AWARE_LOOKAHEAD, windows_per_chunk)
-        max_ahead = max(1, max_ahead)
         info["lookahead"] = max_ahead
 
         # Simulated spans inside which an *unknown* re-dispatch can
@@ -968,16 +931,11 @@ def run_cluster_dist(
         info["exchanges"] = exchanges
         info["nodes"] = nodes
         if telemetry is not None:
-            telemetry_block = {
+            info["telemetry"] = {
                 "interval_s": options.telemetry_interval_s,
                 "frames": telemetry.frames_seen,
                 "workers": telemetry.worker_ids(),
             }
-            if telemetry.no_telemetry_workers:
-                telemetry_block["no_telemetry_workers"] = sorted(
-                    telemetry.no_telemetry_workers
-                )
-            info["telemetry"] = telemetry_block
         if pacer.slept_s:
             info["paced_sleep_s"] = pacer.slept_s
         return DistRun(metrics=metrics, nodes=nodes, info=info)

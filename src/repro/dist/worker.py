@@ -20,9 +20,8 @@ bound in ``max_events`` slices (emitting ``heartbeat`` frames between
 slices so the coordinator can tell a slow batch from a dead process),
 and snapshots the window's outcomes into its own reply block. Scheduling
 window N+1's arrivals only after window N has fully run keeps the event
-heap's same-timestamp insertion order identical to the one-RPC-per-
-window lockstep protocol, which is what preserves bit-exactness under
-lookahead. Requests delivered to a down server, stale-epoch
+heap's same-timestamp insertion order identical to shipping one window
+per exchange, which is what preserves bit-exactness under lookahead. Requests delivered to a down server, stale-epoch
 completions, and full-queue rejections are reported back per window in
 ``step_ok`` for the coordinator's balancer and failover accounting; a
 piggybacked ``collect`` request (the run's final batch) returns the
@@ -41,7 +40,7 @@ import sys
 import traceback
 from typing import Any, Dict, List, Optional
 
-from repro.dist.wire import CAPABILITIES, WIRE_VERSIONS, Channel, ChannelClosed
+from repro.dist.wire import Channel, ChannelClosed
 
 # How many events a worker retires between heartbeats while executing a
 # step. Small enough for sub-second liveness at any realistic rate,
@@ -251,12 +250,6 @@ class WorkerHost:
             self._registry_cm.__exit__(None, None, None)
             self._registry_cm = None
         self.cluster_config = ClusterConfig(**msg["config"])
-        if msg.get("wire") == "v2":
-            # Negotiated upgrade: step_ok replies go out binary from the
-            # next frame on (this 'ready' reply itself stays JSON).
-            self.channel.wire_version = 2
-        else:
-            self.channel.wire_version = 1
         self.registry = MetricsRegistry(enabled=bool(msg.get("metrics", False)))
         self._registry_cm = active_registry(self.registry)
         self._registry_cm.__enter__()
@@ -279,8 +272,8 @@ class WorkerHost:
                 TelemetrySampler,
             )
 
-            # interval_s == 0 builds the null sampler: the capability is
-            # negotiated but every hook hits shared no-op instruments —
+            # interval_s == 0 builds the null sampler: telemetry is
+            # configured but every hook hits shared no-op instruments —
             # the 'disabled' leg of the telemetry_overhead bench.
             self.telemetry = TelemetrySampler(
                 self.worker_id,
@@ -571,8 +564,6 @@ def main(argv=None) -> int:
             "worker_id": args.worker_id,
             "token": args.token,
             "pid": os.getpid(),
-            "wire": list(WIRE_VERSIONS),
-            "caps": list(CAPABILITIES),
         }
     )
     host = WorkerHost(channel, args.worker_id)

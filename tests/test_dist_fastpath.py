@@ -1,19 +1,21 @@
-"""The dist fast path: backoff, window batching, and the v2 wire codec.
+"""The dist fast path: backoff, window batching, and the binary step codec.
 
-These are the PR-8 contracts layered on top of the PR-7 runtime:
+The contracts layered on top of the basic runtime:
 
 - ``backoff_delay`` grows exponentially with jitter and a cap, and
   ``Channel.rpc`` actually sleeps those growing delays between retries;
 - ``take_window`` half-open boundary semantics (a record exactly on the
   bound belongs to the *next* window, and the one-record lookahead is
   never lost across consecutive windows);
-- the binary wire format v2 round-trips every step/step_ok shape to the
-  same decoded message the JSON v1 path produces (fuzzed);
-- ``DistOptions`` validates the new ``wire`` / ``lookahead`` /
-  ``backoff_cap_s`` knobs, and the ``--workers`` / ``--transport`` CLI
-  boundary keeps the listed-choices UsageError -> exit 2 contract.
+- the binary step/step_ok codec (historically "wire v2"; every other
+  message is JSON) round-trips every step/step_ok shape to the same
+  message a JSON round-trip produces (fuzzed);
+- ``DistOptions`` validates the ``backoff_cap_s`` / ``heartbeat_events``
+  knobs, and the ``--workers`` / ``--transport`` CLI boundary keeps the
+  listed-choices UsageError -> exit 2 contract.
 """
 
+import json
 import random
 import socket
 
@@ -140,12 +142,17 @@ def test_take_window_never_buffers_more_than_one_record():
     assert len(seen) == 5 and len(pending) == 1
 
 
-# -- wire v2 <-> v1 fuzz ------------------------------------------------------
+# -- binary codec <-> JSON fuzz -----------------------------------------------
 
 
-def roundtrip(message, wire_version):
-    frame = encode_frame(message, wire_version=wire_version)
-    return decode_body(frame[4:])
+def roundtrip(message):
+    return decode_body(encode_frame(message)[4:])
+
+
+def json_frame(message):
+    """The frame a plain JSON encoding of ``message`` would produce."""
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
 
 
 def fuzz_step(rng):
@@ -260,7 +267,7 @@ def fuzz_step_ok(rng):
         }
     if rng.random() < 0.4:
         # Piggybacked live-telemetry frames ride a length-prefixed JSON
-        # trailer on the v2 wire; both paths must agree, with or
+        # trailer in the binary frame; it must round-trip with or
         # without a collected payload in front.
         message["telemetry"] = [
             fuzz_telemetry_frame(rng) for _ in range(rng.randrange(1, 4))
@@ -270,12 +277,12 @@ def fuzz_step_ok(rng):
 
 @pytest.mark.parametrize("fuzzer", [fuzz_step, fuzz_step_ok])
 def test_wire_v2_roundtrip_matches_v1_fuzzed(fuzzer):
+    """The binary codec decodes to exactly what plain JSON ("v1") would."""
     rng = random.Random(2024)
     for _ in range(200):
         message = fuzzer(rng)
-        via_v1 = roundtrip(message, wire_version=1)
-        via_v2 = roundtrip(message, wire_version=2)
-        assert via_v2 == via_v1, message
+        via_json = json.loads(json.dumps(message))
+        assert roundtrip(message) == via_json, message
 
 
 def test_wire_v2_frames_are_binary_and_smaller_on_hot_messages():
@@ -283,25 +290,22 @@ def test_wire_v2_frames_are_binary_and_smaller_on_hot_messages():
     message = fuzz_step(rng)
     while not any(w["dispatches"] for w in message["windows"]):
         message = fuzz_step(rng)
-    v1 = encode_frame(message, wire_version=1)
-    v2 = encode_frame(message, wire_version=2)
-    assert v2[4:5] == b"\x00"  # binary magic: never a valid JSON start
-    assert v1[4:5] != b"\x00"
-    assert len(v2) < len(v1)
+    binary = encode_frame(message)
+    assert binary[4:5] == b"\x00"  # binary magic: never a valid JSON start
+    assert len(binary) < len(json_frame(message))
 
 
 def test_wire_v2_leaves_cold_messages_as_json():
-    message = {"type": "hello", "worker_id": 3, "wire": ["v1", "v2"]}
-    assert encode_frame(message, wire_version=2) == encode_frame(
-        message, wire_version=1
-    )
+    message = {"type": "hello", "worker_id": 3, "token": "ab", "pid": 7}
+    assert encode_frame(message) == json_frame(message)
+    assert decode_body(encode_frame(message)[4:]) == message
 
 
 def test_truncated_v2_frame_raises_protocol_error():
     from repro.dist.wire import ProtocolError
 
     message = fuzz_step(random.Random(11))
-    body = encode_frame(message, wire_version=2)[4:]
+    body = encode_frame(message)[4:]
     with pytest.raises(ProtocolError):
         decode_body(body[: len(body) // 2] if len(body) > 20 else body[:5])
 
@@ -309,15 +313,14 @@ def test_truncated_v2_frame_raises_protocol_error():
 # -- DistOptions validation ---------------------------------------------------
 
 
-def test_dist_options_validates_wire_and_lookahead():
-    assert DistOptions(wire="v1").wire == "v1"
-    assert DistOptions(lookahead=5).lookahead == 5
-    with pytest.raises(ValueError, match="wire"):
-        DistOptions(wire="v3")
-    with pytest.raises(ValueError, match="lookahead"):
-        DistOptions(lookahead=0)
+def test_dist_options_validates_backoff_and_heartbeat():
     with pytest.raises(ValueError, match="backoff"):
         DistOptions(backoff_cap_s=0.0)
+    assert DistOptions(heartbeat_events=1).heartbeat_events == 1
+    for bad in (0, -5):
+        # At <= 0 a worker would heartbeat after every single event.
+        with pytest.raises(ValueError, match="heartbeat_events"):
+            DistOptions(heartbeat_events=bad)
 
 
 # -- CLI boundary: --workers / --transport ------------------------------------

@@ -75,6 +75,39 @@ def test_fingerprint_is_worker_count_independent():
     assert len(fingerprints) == 1
 
 
+def test_rack_trace_replay_is_bit_exact_with_the_rack(tmp_path):
+    """A recorded trace of the rack's own arrival streams, covering the
+    whole ``warmup + duration`` horizon, replays bit-exactly."""
+    import itertools
+
+    from repro.dist import PoissonSource, TraceFileSource, write_trace
+    from repro.traffic.arrivals import load_to_rate
+
+    config = small_config(seed=3)
+    rate = load_to_rate(
+        LOAD,
+        config.server_config(0).workload.mean_service_seconds,
+        config.num_servers * config.cores_per_server,
+    )
+    path = str(tmp_path / "rack.trace")
+    source = PoissonSource(rate, config.num_flows, config.flow_skew, config.seed)
+    written = write_trace(
+        path,
+        itertools.takewhile(lambda r: r.time < WARMUP + DURATION, iter(source)),
+    )
+    rack = run_cluster(config, rate=rate, duration=DURATION, warmup=WARMUP)
+    dist = run_cluster_dist(
+        config,
+        source=TraceFileSource(path),
+        duration=DURATION,
+        warmup=WARMUP,
+        options=DistOptions(workers=2),
+    )
+    assert written > 0 and dist.metrics.latency.count > 0
+    assert dist.metrics.fingerprint() == rack.metrics.fingerprint()
+    assert dist.metrics.dispatched == rack.metrics.dispatched
+
+
 def test_modelled_crash_profile_matches_rack_redispatch():
     config = small_config(fault_profile="crash")
     rack, dist = run_both(config, workers=2)

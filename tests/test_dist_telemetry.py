@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.dist import DistOptions, TELEMETRY_CAPABILITY, run_cluster_dist
+from repro.dist import DistOptions, run_cluster_dist
 from repro.dist.coordinator import WorkerHandle, WorkerPool
 from repro.dist.wire import Channel
 from repro.obs.live import TelemetryBus, parse_telemetry_jsonl, validate_frame
@@ -150,7 +150,7 @@ def test_broadcast_surfaces_full_heartbeat_payload():
     pool.handles = [
         WorkerHandle(
             worker_id=0, servers=[0], process=_FakeProcess(),
-            channel=coordinator, caps=(TELEMETRY_CAPABILITY,),
+            channel=coordinator,
         )
     ]
     frame = {

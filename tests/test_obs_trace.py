@@ -4,7 +4,7 @@ The two contracts everything else rests on:
 
 1. A traced run's *simulated* results are bit-identical to an untraced
    run — probes observe, they never schedule. Checked against the fast
-   model (heap and calendar backends, all four notification
+   model (a default or caller-supplied simulator, all four notification
    mechanisms), the execution-driven structural model (spin
    fast-forward batching active), and the rack simulation.
 2. Every request span's cycle breakdown sums *bit-exactly* (fixed
@@ -236,27 +236,25 @@ def test_traced_hyperplane_bit_identical_and_exact():
     assert tracer.roots()[0].attributes["mechanism"] == traced.label
 
 
-def _run_spinning_on(sim_backend, tracer=None):
+def _run_spinning_on_supplied_sim(tracer=None):
     config = SDPConfig(num_queues=64, seed=9)
     # Ambient at *build* time governs probing.
     with active_tracer(tracer):
-        system = DataPlaneSystem(config, sim=Simulator(backend=sim_backend))
+        system = DataPlaneSystem(config, sim=Simulator())
     build_spinning_cores(system)
     system.attach_open_loop(load=0.3)
     warmup = 200.0 * config.workload.mean_service_seconds
     return system.run(duration=2.0, warmup=warmup, target_completions=300)
 
 
-def test_traced_run_bit_identical_on_calendar_backend():
-    baseline = latency_fingerprint(_run_spinning_on("calendar"))
+def test_traced_run_bit_identical_on_supplied_simulator():
+    baseline = latency_fingerprint(_run_spinning_on_supplied_sim())
     tracer = Tracer(seed=9)
-    traced = _run_spinning_on("calendar", tracer=tracer)
+    traced = _run_spinning_on_supplied_sim(tracer=tracer)
     tracer.finalize()
     assert latency_fingerprint(traced) == baseline
     assert len(tracer.roots()) >= traced.latency.count
     assert sum_problems(tracer) == []
-    # And the calendar backend agrees with the heap backend, traced.
-    assert latency_fingerprint(_run_spinning_on("heap")) == baseline
 
 
 def test_sampled_tracing_keeps_results_identical_and_subset_stable():

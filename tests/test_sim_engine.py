@@ -308,33 +308,11 @@ def test_handle_fires_when_not_cancelled():
     assert handle.cancel() is False  # already fired
 
 
-# -- calendar backend --------------------------------------------------------
+# -- run bounds --------------------------------------------------------------
 
 
-def test_calendar_backend_matches_heap_trace():
-    import random
-
-    def trace(backend, seed):
-        rng = random.Random(seed)
-        sim = Simulator(backend=backend)
-        hits = []
-
-        def record(i):
-            hits.append((round(sim.now, 12), i))
-            if i < 200:
-                sim.schedule(rng.random() * 1e-3, record, i + 100)
-
-        for i in range(40):
-            sim.schedule(rng.random() * 1e-3, record, i)
-        sim.run()
-        return hits
-
-    for seed in range(5):
-        assert trace("heap", seed) == trace("calendar", seed)
-
-
-def test_calendar_backend_bounds_and_stop():
-    sim = Simulator(backend="calendar")
+def test_heap_bounds_and_stop():
+    sim = Simulator()
     hits = []
     for i in range(8):
         sim.schedule(float(i + 1), hits.append, i)
@@ -347,6 +325,34 @@ def test_calendar_backend_bounds_and_stop():
     assert hits == list(range(8))
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        Simulator(backend="fibheap")
+def test_run_until_in_the_past_rejected():
+    sim = Simulator()
+    sim.schedule(10.5, lambda: None)
+    sim.schedule(20.0, lambda: None)
+    sim.run(max_events=1)
+    assert sim.now == 10.5
+    with pytest.raises(SimulationError, match="until=5"):
+        sim.run(until=5.0)
+    # The clock did not move and the next run still works.
+    assert sim.now == 10.5 and sim.pending == 1
+    assert sim.run(until=10.5) == 10.5
+    sim.run()
+    assert sim.now == 20.0
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+
+
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_run_max_events_below_one_rejected(max_events):
+    sim = Simulator()
+    hits = []
+    sim.schedule(1.0, hits.append, "x")
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=max_events)
+    assert hits == [] and sim.pending == 1
+    sim.run(max_events=1)
+    assert hits == ["x"]
