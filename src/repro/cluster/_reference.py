@@ -50,7 +50,7 @@ from repro.cluster.faults import fault_schedule
 from repro.cluster.link import Link
 from repro.cluster.rack import TWO_POW_64, flow_weights
 from repro.core.dataplane import build_hyperplane
-from repro.obs.runtime import get_active_registry
+from repro.obs.probes import observe_rack
 from repro.queueing.doorbell import Doorbell
 from repro.queueing.taskqueue import QueueFullError
 from repro.mem.costmodel import empty_poll_cost_curve, interpolate_poll_cost
@@ -564,20 +564,7 @@ class ReferenceRack:
         self._item_ids = 0
         self.generated = 0
 
-        self._obs = get_active_registry()
-        self._obs_events_reported = 0
-        if self._obs is not None:
-            from repro.obs.probes import instrument_rack
-
-            instrument_rack(self._obs, self)
-
-        from repro.obs.trace import get_active_tracer
-
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_rack
-
-            self._trace_probe = maybe_trace_rack(self)
+        self._observer = observe_rack(self)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -722,12 +709,8 @@ class ReferenceRack:
         self.metrics.measure_end = self.sim.now
         for server in self.servers:
             server.system.metrics.measure_end = self.sim.now
-        if self._obs is not None:
-            delta = self.sim.events_dispatched - self._obs_events_reported
-            self._obs_events_reported = self.sim.events_dispatched
-            self._obs.counter(
-                "sim.events_total", help="events retired across all runs"
-            ).inc(delta)
+        if self._observer is not None:
+            self._observer.run_finished()
         return self.metrics
 
     def check_invariants(self) -> None:

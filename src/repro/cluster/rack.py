@@ -63,7 +63,7 @@ from repro.cluster.link import Link
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.tables import TWO_POW_64, cumulative_weight_table
 from repro.core.dataplane import build_hyperplane
-from repro.obs.runtime import get_active_registry
+from repro.obs.probes import observe_rack
 from repro.queueing.taskqueue import WorkItem
 from repro.sdp.spinning import FastSpinningCore, build_spinning_cores
 from repro.sdp.system import DataPlaneSystem, FastpathContext
@@ -337,26 +337,11 @@ class Rack:
         self._fault_base: Optional[float] = None
         self._fault_times: List[float] = []
 
-        # Observability: the per-server systems self-instrumented above
-        # (shared sdp.* aggregates on the rack timeline); add the fleet
-        # rollups only this layer can see.
-        self._obs = get_active_registry()
-        self._obs_events_reported = 0
-        if self._obs is not None:
-            from repro.obs.probes import instrument_rack
-
-            instrument_rack(self._obs, self)
-
-        # Tracing: the per-server systems self-traced above (same
-        # ambient tracer); add the fleet spans (rpc roots, link
-        # transfers) and parent the server-side request spans.
-        from repro.obs.trace import get_active_tracer
-
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_rack
-
-            self._trace_probe = maybe_trace_rack(self)
+        # Observability: the per-server systems observed themselves
+        # above (shared sdp.* aggregates and request spans on the rack
+        # timeline); add the fleet gauges and rpc/link spans only this
+        # layer can see.
+        self._observer = observe_rack(self)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -667,7 +652,7 @@ class Rack:
             self._arrivals is not None
             and target_completions is None
             and self._max_items is None
-            and self._trace_probe is None
+            and (self._observer is None or self._observer.tracer is None)
             and not self._tick_started
             and self.balancer.policy in _SWEEPABLE_POLICIES
             and all(event.kind != "crash" for event in self.controller.events)
@@ -846,14 +831,10 @@ class Rack:
         self.metrics.measure_end = self.sim.now
         for server in self.servers:
             server.system.metrics.measure_end = self.sim.now
-        if self._obs is not None:
+        if self._observer is not None:
             # Servers share this timeline and never call their own run(),
             # so the rack reports the shared simulator's retired events.
-            delta = self.sim.events_dispatched - self._obs_events_reported
-            self._obs_events_reported = self.sim.events_dispatched
-            self._obs.counter(
-                "sim.events_total", help="events retired across all runs"
-            ).inc(delta)
+            self._observer.run_finished()
         return self.metrics
 
     def check_invariants(self) -> None:

@@ -3,9 +3,9 @@
 A first-class instrumentation layer decoupled from the models (the
 pattern Akita and gem5's stats plumbing converge on): a
 :class:`MetricsRegistry` of counters, gauges, sim-time histograms, and
-bounded timeseries probes; standard probes for each layer
-(:mod:`repro.obs.probes`); JSONL / CSV / Prometheus exporters with
-round-trip parsers (:mod:`repro.obs.export`); and the
+bounded timeseries probes; one observer per model layer feeding both
+metrics and spans (:mod:`repro.obs.probes`); JSONL / CSV / Prometheus
+exporters with round-trip parsers (:mod:`repro.obs.export`); and the
 :class:`RunManifest` provenance record every experiment result carries
 (:mod:`repro.obs.manifest`). Alongside the aggregate metrics sits the
 causal tracing layer (:mod:`repro.obs.trace`): per-request span trees
@@ -53,12 +53,7 @@ from repro.obs.manifest import (
     manifest_problems,
     validate_manifest,
 )
-from repro.obs.probes import (
-    instrument_hierarchy,
-    instrument_rack,
-    instrument_simulator,
-    instrument_system,
-)
+from repro.obs.probes import instrument_simulator
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -102,10 +97,7 @@ __all__ = [
     "config_digest",
     "get_active_registry",
     "get_active_tracer",
-    "instrument_hierarchy",
-    "instrument_rack",
     "instrument_simulator",
-    "instrument_system",
     "manifest_problems",
     "parse_csv",
     "parse_jsonl",

@@ -1,7 +1,7 @@
 """Latency-decomposition reports over collected traces.
 
 This is the "where did the tail go" renderer: it folds the per-request
-cycle breakdowns that :mod:`repro.obs.trace_probes` attached to
+cycle breakdowns that the observers in :mod:`repro.obs.probes` attached to
 ``request``/``rpc`` spans into one row per *mechanism* (the
 ``mechanism`` span attribute: ``spinning/scale-out``,
 ``hyperplane/scale-out/hw``, ...), with mean microseconds and share per

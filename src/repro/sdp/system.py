@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mem.address import DoorbellRegion
-from repro.obs.runtime import get_active_registry
-from repro.obs.trace import get_active_tracer
+from repro.obs.probes import observe_system
 from repro.queueing.doorbell import Doorbell
 from repro.queueing.locks import SpinLock
 from repro.queueing.taskqueue import TaskQueue, WorkItem
@@ -236,24 +235,10 @@ class DataPlaneSystem:
         self.generators: List[OpenLoopGenerator] = []
         self.refill: Optional[ClosedLoopRefill] = None
 
-        # Observability: self-instrument iff an enabled registry is
-        # ambient (repro.obs.runtime). With none active — the default —
-        # this is a single None check and no hook is installed.
-        self._obs = get_active_registry()
-        self._obs_events_reported = 0
-        if self._obs is not None:
-            from repro.obs.probes import instrument_system
-
-            instrument_system(self._obs, self)
-
-        # Tracing: self-trace iff an enabled tracer is ambient
-        # (repro.obs.trace). Same contract as metrics — with none
-        # active this is one None check and no hook is installed.
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_system
-
-            self._trace_probe = maybe_trace_system(self)
+        # Observability: one observer serves the ambient registry and
+        # tracer (repro.obs.probes). With neither enabled — the default —
+        # this is a None check and no hook is installed.
+        self._observer = observe_system(self)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -353,12 +338,8 @@ class DataPlaneSystem:
         if self.refill is not None:
             self.metrics.generated += self.refill.generated
         self.metrics.dropped = sum(g.dropped for g in self.generators)
-        if self._obs is not None:
-            delta = self.sim.events_dispatched - self._obs_events_reported
-            self._obs_events_reported = self.sim.events_dispatched
-            self._obs.counter(
-                "sim.events_total", help="events retired across all runs"
-            ).inc(delta)
+        if self._observer is not None:
+            self._observer.run_finished()
         return self.metrics
 
     def check_invariants(self) -> None:

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.mem.address import AddressAllocator, CACHE_LINE_BYTES, DoorbellRegion
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+from repro.obs.probes import observe_machine
 from repro.queueing.doorbell import Doorbell
 from repro.queueing.taskqueue import TaskQueue, WorkItem
 from repro.sdp.metrics import CoreActivity, LatencyRecorder, RunMetrics
@@ -102,16 +103,9 @@ class StructuralMachine:
         self.producer_processes = []
 
         # Tracing: self-trace iff an enabled tracer is ambient; the
-        # probe is observation-only (wraps complete / dequeue memory
-        # accounting, never schedules), so traced runs stay
-        # bit-identical.
-        from repro.obs.trace import get_active_tracer
-
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_structural_machine
-
-            self._trace_probe = maybe_trace_structural_machine(self)
+        # observer wraps complete / dequeue memory accounting and never
+        # schedules, so traced runs stay bit-identical.
+        self._observer = observe_machine(self)
 
     # -- core id helpers -----------------------------------------------------------
 

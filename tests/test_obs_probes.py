@@ -1,8 +1,7 @@
 """Instrumentation probes: sdp, mem, cluster, sim — wired end to end."""
 
-import pytest
-
 from repro.cluster import ClusterConfig, run_cluster
+from repro.core.runner import run_hyperplane
 from repro.mem.costmodel import empty_poll_cost_curve
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import active_registry
@@ -118,19 +117,20 @@ def test_different_seeds_differ():
 
 
 def test_instrumentation_does_not_perturb_results():
-    # The observability layer must be read-only: metrics from an
-    # instrumented run match an uninstrumented run sample for sample.
-    plain = run_spinning(
-        small_config(), load=0.5, target_completions=500, max_seconds=0.05
-    )
-    registry = MetricsRegistry(enabled=True)
-    with active_registry(registry):
-        instrumented = run_spinning(
-            small_config(), load=0.5, target_completions=500, max_seconds=0.05
-        )
-    assert instrumented.completed == plain.completed
-    assert instrumented.latency.p99_us == pytest.approx(plain.latency.p99_us)
-    assert instrumented.measure_end == pytest.approx(plain.measure_end)
+    # The observability layer must be read-only: an instrumented run's
+    # results equal an uninstrumented run's exactly.
+    for runner in (run_spinning, run_hyperplane):
+        kwargs = dict(load=0.5, target_completions=500, max_seconds=0.05)
+        plain = runner(small_config(), **kwargs)
+        registry = MetricsRegistry(enabled=True)
+        with active_registry(registry):
+            instrumented = runner(small_config(), **kwargs)
+        assert instrumented.completed == plain.completed
+        assert instrumented.latency.p99_us == plain.latency.p99_us
+        assert instrumented.latency.mean_us == plain.latency.mean_us
+        assert instrumented.measure_end == plain.measure_end
+        assert instrumented.generated == plain.generated
+        assert instrumented.dropped == plain.dropped
 
 
 def test_disabled_registry_installs_no_hooks():
@@ -138,6 +138,6 @@ def test_disabled_registry_installs_no_hooks():
 
     with active_registry(MetricsRegistry(enabled=False)):
         system = DataPlaneSystem(small_config())
-    assert system._obs is None
+    assert system._observer is None
     # Only the ready-mask upkeep hook, no probe hooks.
     assert system.doorbell_write_hooks == []

@@ -189,7 +189,7 @@ def test_null_tracer_is_inert():
 
 def test_untraced_system_installs_no_probes():
     system = DataPlaneSystem(SDPConfig(num_queues=16, seed=0))
-    assert system._trace_probe is None
+    assert system._observer is None
     assert system.doorbell_write_hooks == []
     assert system.on_dequeue_hooks == []
 
