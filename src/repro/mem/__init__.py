@@ -11,8 +11,9 @@ chip that the paper's effects depend on:
 - :mod:`repro.mem.hierarchy` — per-core L1s + shared LLC + directory +
   DRAM, returning a latency in cycles for every access.
 - :mod:`repro.mem.costmodel` — derives the per-operation cycle costs the
-  fast SDP simulation uses, by running microbenchmarks through the
-  structural models.
+  fast SDP simulation uses from the structural models' latencies and
+  geometry (the empty-poll curve in closed form, checked against a
+  replay through the structural models kept in :mod:`repro.mem._reference`).
 """
 
 from repro.mem.address import (

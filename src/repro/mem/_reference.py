@@ -8,9 +8,13 @@ sequences, same stats and transaction counters, same snoop-callback
 invocation order. This module preserves the original, straightforward
 implementations — dict-of-lists caches, enum-dispatch directory — as the
 oracle those fast paths are differentially fuzzed against
-(``tests/test_mem_fastpath_differential.py``).
+(``tests/test_mem_fastpath_differential.py``). It also keeps the
+structural empty-poll cost-curve derivation
+(:func:`reference_empty_poll_cost_curve`), the oracle for the closed
+form in :mod:`repro.mem.costmodel` (``tests/test_mem_costmodel_closed_form.py``).
 
-Nothing outside the tests should import this module; it is deliberately
+Nothing outside the tests and :mod:`repro.bench` (which times the fast
+paths against it) should import this module; it is deliberately
 unoptimised so that its behaviour stays easy to audit by eye.
 """
 
@@ -318,10 +322,68 @@ def build_reference_pair(config):
     return MemoryHierarchy(config), ReferenceMemoryHierarchy(config)
 
 
+def reference_empty_poll_cost_curve(
+    queue_counts,
+    mem_config=None,
+    llc_doorbell_resident_fraction: float = 1.0,
+    warmup_rounds: int = 2,
+    measure_rounds: int = 2,
+) -> Tuple[Dict[int, float], Dict[str, float]]:
+    """The structural empty-poll derivation: replay every polling round.
+
+    For each queue count ``n`` a fresh :class:`MemoryHierarchy` runs one
+    core round-robin-reading ``n`` doorbell lines for ``warmup_rounds``
+    unmeasured rounds, then averages the read latency over
+    ``measure_rounds`` more. Returns the curve and the hierarchy-counter
+    snapshot summed over every count — the pair
+    :func:`repro.mem.costmodel.empty_poll_cost_curve` computes in closed
+    form and is differentially tested against. No memo, no registry.
+    """
+    from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+    from repro.obs.probes import hierarchy_stats_snapshot
+
+    cfg = mem_config or MemConfig(num_cores=1)
+    results: Dict[int, float] = {}
+    aggregate_stats: Dict[str, float] = {}
+    for count in queue_counts:
+        if count <= 0:
+            raise ValueError("queue counts must be positive")
+        hierarchy = MemoryHierarchy(cfg)
+        base = 0x1000_0000
+        addrs = [base + i * CACHE_LINE_BYTES for i in range(count)]
+        # One batched call per polling round (identical results to
+        # per-address hierarchy.read(0, addr) — see access_stream).
+        for _ in range(warmup_rounds):
+            hierarchy.access_stream(0, addrs)
+        total = 0
+        samples = 0
+        for _ in range(measure_rounds):
+            for result in hierarchy.access_stream(0, addrs):
+                latency = result.latency
+                if result.level == "LLC" and llc_doorbell_resident_fraction < 1.0:
+                    # Expected latency when some LLC refs spill to DRAM.
+                    lat = cfg.latencies
+                    llc = lat.directory_lookup + lat.llc_hit
+                    dram = lat.directory_lookup + lat.dram
+                    latency = (
+                        llc_doorbell_resident_fraction * llc
+                        + (1.0 - llc_doorbell_resident_fraction) * dram
+                    )
+                total += latency
+                samples += 1
+        results[count] = total / samples
+
+        stats = hierarchy_stats_snapshot(hierarchy)
+        for name, value in stats.items():
+            aggregate_stats[name] = aggregate_stats.get(name, 0.0) + value
+    return results, aggregate_stats
+
+
 __all__ = [
     "CacheConfig",
     "ReferenceDirectory",
     "ReferenceMemoryHierarchy",
     "ReferenceSetAssociativeCache",
     "build_reference_pair",
+    "reference_empty_poll_cost_curve",
 ]

@@ -55,6 +55,20 @@ class CacheStats:
 _EMPTY = -1
 
 
+def set_count(size_bytes: int, ways: int, line_bytes: int) -> int:
+    """Sets of a ``size_bytes`` / ``ways`` / ``line_bytes`` geometry.
+
+    Raises ``ValueError`` unless the capacity is a whole number of sets
+    and that number is a power of two (as in real indexing).
+    """
+    if size_bytes % (ways * line_bytes):
+        raise ValueError("capacity must be a whole number of sets")
+    num_sets = size_bytes // (ways * line_bytes)
+    if num_sets & (num_sets - 1):
+        raise ValueError("set count must be a power of two")
+    return num_sets
+
+
 class SetAssociativeCache:
     """An LRU set-associative cache of line addresses.
 
@@ -91,15 +105,11 @@ class SetAssociativeCache:
         line_bytes: int = CACHE_LINE_BYTES,
         name: str = "cache",
     ):
-        if size_bytes % (ways * line_bytes):
-            raise ValueError("capacity must be a whole number of sets")
+        self.num_sets = set_count(size_bytes, ways, line_bytes)
         self.size_bytes = size_bytes
         self.ways = ways
         self.line_bytes = line_bytes
         self.name = name
-        self.num_sets = size_bytes // (ways * line_bytes)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("set count must be a power of two")
         self._set_mask = self.num_sets - 1
         # Flat tag array: set s owns slots [s*ways, (s+1)*ways), LRU
         # first / MRU last; _fill[s] slots are occupied from the base.

@@ -4,20 +4,33 @@ The figure sweeps (1000 queues, millions of polls) cannot afford a
 structural cache access per poll in Python, so the SDP simulation runs on
 a :class:`CostModel`: a table of per-operation cycle costs plus the
 *empty-poll cost curve* — average cycles to interrogate one empty queue
-head, as a function of the total doorbell count. The curve is derived by
-actually running a polling loop through :class:`MemoryHierarchy`, so L1
-capacity, associativity conflicts, and LLC pressure come from the model
-rather than hand-waving.
+head, as a function of the total doorbell count.
+
+The curve is computed in closed form from the structural geometry: set
+counts and ways of the L1 and the LLC that :class:`MemoryHierarchy`
+builds, and its latency table. One core sweeping N doorbell lines
+round-robin is a cyclic access pattern, and LRU under a cyclic pattern
+has a simple answer per set: a set that holds at most ``ways`` of the
+lines hits on every access after the first round, and a set that holds
+more misses on every access of every round. So L1 capacity,
+associativity conflicts and LLC pressure still come from the model,
+with arithmetic on set occupancy instead of a replay of every access.
+The replay itself (:func:`repro.mem._reference.reference_empty_poll_cost_curve`)
+is kept as the oracle the closed form is tested against, curve and
+counters, with exact equality.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.address import CACHE_LINE_BYTES
-from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+from repro.mem.cache import set_count
+from repro.mem.coherence import LatencyConfig
+from repro.mem.hierarchy import MemConfig, llc_set_count
 
 # Paper constants (Section IV-C / V-D), in cycles at 3 GHz where stated in ns.
 QWAIT_LATENCY_CYCLES = 50  # "conservatively considered ... 50 cycles"
@@ -80,11 +93,12 @@ def derive_cost_model(
 
 # -- derivation memo ---------------------------------------------------------
 #
-# Curve derivation is by far the most expensive step of building a
-# data-plane system (hundreds of thousands of structural cache accesses),
-# and figure sweeps rebuild systems with identical derivation inputs at
-# every grid point. The derivation is a pure function of its inputs, so
-# one process-wide memo collapses a sweep's N derivations into one. Each
+# Figure sweeps rebuild systems with identical derivation inputs at every
+# grid point. The derivation is a pure function of its inputs, so one
+# process-wide memo collapses a sweep's N derivations into one (the
+# closed form made a derivation cheap, O(doorbells) per count, but a
+# memo hit is cheaper still and its miss count says how many distinct
+# curves a run needed). Each
 # memo entry also stores the aggregate hierarchy-counter snapshot, so a
 # cache hit folds the same ``mem.*`` increments into an active metrics
 # registry that a fresh measurement would have — instrumented runs see
@@ -121,6 +135,184 @@ def curve_cache_info() -> Dict[str, int]:
     return {"entries": len(_CURVE_CACHE), **_CURVE_CACHE_STATS}
 
 
+# Where the polling loop's doorbell lines start (line-aligned for any
+# line size up to 256 MB).
+_DOORBELL_BASE = 0x1000_0000
+
+# (line bytes, L1 sets, L1 ways, LLC sets, LLC ways)
+_Geometry = Tuple[int, int, int, int, int]
+
+
+def _poll_geometry(cfg: MemConfig) -> _Geometry:
+    """The cache geometry ``MemoryHierarchy(cfg)`` builds.
+
+    Raises the ``ValueError`` building it would: no cores (then no L1 is
+    built), else a bad L1 geometry. The LLC set count is rounded up to a
+    power of two, so the LLC never fails.
+    """
+    if cfg.num_cores <= 0:
+        raise ValueError("need at least one core")
+    l1 = cfg.l1
+    l1_sets = set_count(l1.size_bytes, l1.ways, l1.line_bytes)
+    return l1.line_bytes, l1_sets, l1.ways, llc_set_count(cfg), cfg.llc_per_core.ways
+
+
+def _set_loads(distinct: Set[int], lines: List[int], sets: int, ways: int) -> Counter:
+    """How many of the ``distinct`` lines fall in each set (empty when
+    no set can hold more than ``ways`` of them).
+
+    ``lines`` is sorted, and any ``sets`` consecutive line numbers cover
+    every set once, so no set holds more than ``ceil(span / sets)``.
+    """
+    span = lines[-1] - lines[0] + 1
+    if -(-span // sets) <= ways:
+        return Counter()
+    mask = sets - 1
+    return Counter(line & mask for line in distinct)
+
+
+def _cyclic_poll(
+    count: int,
+    geometry: _Geometry,
+    latencies: LatencyConfig,
+    resident_fraction: float,
+    warmup_rounds: int,
+    measure_rounds: int,
+) -> Tuple[float, Dict[str, float]]:
+    """Mean poll cost and hierarchy counters for one core reading
+    ``count`` doorbells round-robin through a fresh hierarchy.
+
+    The facts this rests on, from :class:`MemoryHierarchy`:
+
+    - Each cache is LRU per set, and the sweep visits each set's lines
+      in the same cyclic order every round. Round 0 misses on every
+      first touch. Later, a line hits iff its set holds at most ``ways``
+      of the lines (its stack distance is one less than that number);
+      otherwise it misses every round, and so does every line of its
+      set, each miss evicting.
+    - The LLC sees every access, L1 hits included, so its counts do not
+      depend on the L1.
+    - One core only reads, and an L1 eviction drops the directory entry,
+      so the directory mirrors the L1: an L1 hit costs ``l1_hit``, an L1
+      miss issues a GetS and costs the LLC latency (blended with DRAM
+      when ``resident_fraction < 1``) if the line is in the LLC, else
+      DRAM. No GetM, Upgrade or PutM ever happens.
+    """
+    line_bytes, l1_sets, l1_ways, llc_sets, llc_ways = geometry
+    # Line number of each read, in polling order. The doorbells sit
+    # CACHE_LINE_BYTES apart, so a longer line holds several of them,
+    # read back to back (the repeats hit the MRU line in both caches).
+    lines = [
+        address // line_bytes
+        for address in range(
+            _DOORBELL_BASE, _DOORBELL_BASE + count * CACHE_LINE_BYTES, CACHE_LINE_BYTES
+        )
+    ]
+    distinct = set(lines)
+    l1_mask = l1_sets - 1
+    llc_mask = llc_sets - 1
+    l1_load = _set_loads(distinct, lines, l1_sets, l1_ways)
+    llc_load = _set_loads(distinct, lines, llc_sets, llc_ways)
+    # Sets holding more lines than ways thrash: each of their lines
+    # misses on every read of every round.
+    l1_over = {index for index, held in l1_load.items() if held > l1_ways}
+    llc_over = {index for index, held in llc_load.items() if held > llc_ways}
+    l1_thrash = sum(l1_load[index] for index in l1_over)
+    llc_thrash = sum(llc_load[index] for index in llc_over)
+
+    l1_hit = latencies.l1_hit
+    dram = latencies.directory_lookup + latencies.dram
+    llc = latencies.directory_lookup + latencies.llc_hit
+    if resident_fraction < 1.0:
+        # Expected latency when some LLC refs spill to DRAM.
+        llc = resident_fraction * llc + (1.0 - resident_fraction) * dram
+    rounds = warmup_rounds + measure_rounds
+    measured_cold = 1 if warmup_rounds == 0 else 0
+    measured_later = measure_rounds - measured_cold
+    if all(type(latency) is int for latency in (l1_hit, llc, dram)):
+        # Integer latencies: the sum is exact in any order. Both set
+        # counts are powers of two, so a set of the cache with more sets
+        # lies inside one set of the other.
+        if l1_sets <= llc_sets:
+            both = sum(llc_load[index] for index in llc_over if index & l1_mask in l1_over)
+        else:
+            both = sum(l1_load[index] for index in l1_over if index & llc_mask in llc_over)
+        cold_total = len(distinct) * dram + (count - len(distinct)) * l1_hit
+        later_total = (
+            (count - l1_thrash) * l1_hit + (l1_thrash - both) * llc + both * dram
+        )
+        total = measured_cold * cold_total + measured_later * later_total
+    else:
+        # Float latencies round differently in another order, so add them
+        # one read at a time in polling order, as the reads happen. A
+        # line's repeat reads within a round hit its MRU copy.
+        repeat = [False] + [a == b for a, b in zip(lines, lines[1:])]
+        cold = [l1_hit if again else dram for again in repeat]
+        later = [
+            l1_hit
+            if again or line & l1_mask not in l1_over
+            else dram
+            if line & llc_mask in llc_over
+            else llc
+            for line, again in zip(lines, repeat)
+        ]
+        total = 0
+        for round_latencies in [cold] * measured_cold + [later] * measured_later:
+            for latency in round_latencies:
+                total += latency
+
+    accesses = count * rounds
+    l1_misses = len(distinct) + (rounds - 1) * l1_thrash
+    llc_misses = len(distinct) + (rounds - 1) * llc_thrash
+    # Round 0 evicts once a set is full; a thrashing set evicts on every
+    # read of every later round.
+    llc_evictions = (rounds - 1) * llc_thrash
+    llc_evictions += sum(llc_load[index] - llc_ways for index in llc_over)
+    # Same keys, same order as repro.obs.probes.hierarchy_stats_snapshot.
+    stats = {
+        "l1.hits": float(accesses - l1_misses),
+        "l1.misses": float(l1_misses),
+        "llc.hits": float(accesses - llc_misses),
+        "llc.misses": float(llc_misses),
+        "llc.evictions": float(llc_evictions),
+        "coherence.get_s": float(l1_misses),
+        "coherence.get_m": 0.0,
+        "coherence.upgrade": 0.0,
+        "coherence.put_m": 0.0,
+    }
+    return total / (count * measure_rounds), stats
+
+
+def _derive_curve(
+    counts: Tuple[int, ...],
+    cfg: MemConfig,
+    resident_fraction: float,
+    warmup_rounds: int,
+    measure_rounds: int,
+) -> Tuple[Dict[int, float], Dict[str, float]]:
+    """The curve over ``counts`` and the hierarchy counters summed over
+    every count (a count listed twice is derived and summed twice).
+
+    Validates every input first and raises ``ValueError`` on a bad one.
+    """
+    if not 0.0 <= resident_fraction <= 1.0:
+        raise ValueError("resident fraction must be within [0, 1]")
+    if warmup_rounds < 0 or measure_rounds < 1:
+        raise ValueError("need warmup_rounds >= 0 and measure_rounds >= 1")
+    if any(count <= 0 for count in counts):
+        raise ValueError("queue counts must be positive")
+    geometry = _poll_geometry(cfg)
+    curve: Dict[int, float] = {}
+    stats_sum: Dict[str, float] = {}
+    for count in counts:
+        curve[count], stats = _cyclic_poll(
+            count, geometry, cfg.latencies, resident_fraction, warmup_rounds, measure_rounds
+        )
+        for name, value in stats.items():
+            stats_sum[name] = stats_sum.get(name, 0.0) + value
+    return curve, stats_sum
+
+
 def empty_poll_cost_curve(
     queue_counts,
     mem_config: Optional[MemConfig] = None,
@@ -130,10 +322,12 @@ def empty_poll_cost_curve(
 ) -> Dict[int, float]:
     """Average cycles per empty-queue poll vs. total doorbell count.
 
-    For each queue count ``n`` this runs a single core round-robin-polling
-    ``n`` doorbell lines (one per cache line, as the driver lays them out)
-    through the structural hierarchy, and averages the measured read
-    latency over the steady-state rounds.
+    For each queue count ``n`` this models a single core round-robin
+    polling ``n`` doorbell lines (one per cache line, as the driver lays
+    them out) through a fresh structural hierarchy, and averages the
+    read latency over ``measure_rounds`` rounds (at least 1) after
+    ``warmup_rounds`` unmeasured ones. The result is computed in closed
+    form (see the module notes); it equals the structural replay exactly.
 
     ``llc_doorbell_resident_fraction`` models competition for LLC capacity
     from task data: the fraction of doorbell-line LLC refs that actually
@@ -141,20 +335,13 @@ def empty_poll_cost_curve(
     data exceeds the LLC).
 
     Derivations are memoized process-wide by their full input identity;
-    see the module notes above.
+    see the module notes above. Either way the hierarchy counters are
+    folded into the ambient metrics registry (if observability is on) as
+    ``mem.*``: the fast simulation never touches the structural models at
+    run time, so the derivation is where their behaviour is measured.
     """
-    if not 0.0 <= llc_doorbell_resident_fraction <= 1.0:
-        raise ValueError("resident fraction must be within [0, 1]")
-    # The fast simulation never touches the structural models at run
-    # time — these derivation runs are where mem.* cache/coherence
-    # behaviour is actually measured, so fold each measured hierarchy's
-    # counters into the ambient registry (if observability is on).
-    from repro.obs.runtime import get_active_registry
-
-    registry = get_active_registry()
-    cfg = mem_config or MemConfig(num_cores=1)
-
     counts = tuple(queue_counts)
+    cfg = mem_config or MemConfig(num_cores=1)
     use_cache = _curve_cache_enabled()
     key = (
         counts,
@@ -163,60 +350,25 @@ def empty_poll_cost_curve(
         warmup_rounds,
         measure_rounds,
     )
-    if use_cache:
-        cached = _CURVE_CACHE.get(key)
-        if cached is not None:
-            _CURVE_CACHE_STATS["hits"] += 1
-            curve, stats = cached
-            if registry is not None:
-                from repro.obs.probes import replay_hierarchy_stats
+    cached = _CURVE_CACHE.get(key) if use_cache else None
+    if cached is not None:
+        _CURVE_CACHE_STATS["hits"] += 1
+    else:
+        cached = _derive_curve(
+            counts, cfg, llc_doorbell_resident_fraction, warmup_rounds, measure_rounds
+        )
+        if use_cache:
+            _CURVE_CACHE_STATS["misses"] += 1
+            _CURVE_CACHE[key] = cached
+    curve, stats = cached
+    from repro.obs.runtime import get_active_registry
 
-                replay_hierarchy_stats(registry, stats)
-            return dict(curve)
-        _CURVE_CACHE_STATS["misses"] += 1
+    registry = get_active_registry()
+    if registry is not None:
+        from repro.obs.probes import replay_hierarchy_stats
 
-    results: Dict[int, float] = {}
-    aggregate_stats: Dict[str, float] = {}
-    for count in counts:
-        if count <= 0:
-            raise ValueError("queue counts must be positive")
-        hierarchy = MemoryHierarchy(cfg)
-        base = 0x1000_0000
-        addrs = [base + i * CACHE_LINE_BYTES for i in range(count)]
-        # One batched call per polling round (identical results to
-        # per-address hierarchy.read(0, addr) — see access_stream).
-        for _ in range(warmup_rounds):
-            hierarchy.access_stream(0, addrs)
-        total = 0
-        samples = 0
-        for _ in range(measure_rounds):
-            for result in hierarchy.access_stream(0, addrs):
-                latency = result.latency
-                if result.level == "LLC" and llc_doorbell_resident_fraction < 1.0:
-                    # Expected latency when some LLC refs spill to DRAM.
-                    lat = cfg.latencies
-                    llc = lat.directory_lookup + lat.llc_hit
-                    dram = lat.directory_lookup + lat.dram
-                    latency = (
-                        llc_doorbell_resident_fraction * llc
-                        + (1.0 - llc_doorbell_resident_fraction) * dram
-                    )
-                total += latency
-                samples += 1
-        results[count] = total / samples
-
-        from repro.obs.probes import hierarchy_stats_snapshot
-
-        stats = hierarchy_stats_snapshot(hierarchy)
-        for name, value in stats.items():
-            aggregate_stats[name] = aggregate_stats.get(name, 0.0) + value
-        if registry is not None:
-            from repro.obs.probes import replay_hierarchy_stats
-
-            replay_hierarchy_stats(registry, stats)
-    if use_cache:
-        _CURVE_CACHE[key] = (dict(results), aggregate_stats)
-    return results
+        replay_hierarchy_stats(registry, stats)
+    return dict(curve)
 
 
 def interpolate_poll_cost(curve: Dict[int, float], count: int) -> float:

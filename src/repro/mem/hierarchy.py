@@ -3,16 +3,17 @@
 :class:`MemoryHierarchy` combines the structural caches (which lines are
 resident, with LRU capacity pressure) with the MESI directory (who may
 read/write what). Every access returns a latency in cycles; the fast SDP
-simulation does not call this per-access but uses cost curves derived
-from it (:mod:`repro.mem.costmodel`).
+simulation does not call this per-access but uses cost curves computed
+from its geometry (:mod:`repro.mem.costmodel`).
 
 Fast-path layout
 ----------------
 :meth:`MemoryHierarchy.access_stream` batches many accesses by one core
 into a single Python call — the structural doorbell scan and the
-cost-curve derivation both issue one call per sweep instead of ~30
-Python-level calls per poll. The steady-state polling case (directory
-hit + line already MRU in both its L1 set and the LLC set) is recognised
+reference cost-curve replay (:mod:`repro.mem._reference`) both issue
+one call per sweep instead of ~30 Python-level calls per poll. The
+steady-state polling case (directory hit + line already MRU in both
+its L1 set and the LLC set) is recognised
 with non-mutating probes and committed inline: two stat increments and
 one interned :class:`AccessResult` append, nothing else. Anything less
 common falls back to the general :meth:`read`/:meth:`write` path
@@ -52,6 +53,19 @@ class MemConfig:
         return self.llc_per_core.size_bytes * self.num_cores
 
 
+def llc_set_count(cfg: MemConfig) -> int:
+    """Sets of the shared LLC a :class:`MemoryHierarchy` builds for ``cfg``.
+
+    Real indexed caches need a power-of-two set count, so the aggregate
+    LLC is rounded up (e.g. 3 cores x 1 MB indexes as 4 MB of sets). The
+    LLC uses the L1 line size and ``llc_per_core.ways``. The closed-form
+    cost curves (:mod:`repro.mem.costmodel`) read the geometry from here.
+    """
+    ways = cfg.llc_per_core.ways
+    sets = max(1, cfg.llc_total_bytes // (ways * cfg.l1.line_bytes))
+    return 1 << (sets - 1).bit_length()
+
+
 class MemoryHierarchy:
     """A CMP memory system for ``config.num_cores`` cores.
 
@@ -67,13 +81,9 @@ class MemoryHierarchy:
         self.l1s: List[SetAssociativeCache] = [
             cfg.l1.build(f"l1-{core}") for core in range(cfg.num_cores)
         ]
-        # Real indexed caches need a power-of-two set count; round the
-        # aggregate LLC up (e.g. 3 cores x 1 MB indexes as 4 MB of sets).
         ways = cfg.llc_per_core.ways
         line = cfg.l1.line_bytes
-        sets = max(1, cfg.llc_total_bytes // (ways * line))
-        rounded_sets = 1 << (sets - 1).bit_length()
-        self.llc = SetAssociativeCache(rounded_sets * ways * line, ways, line, "llc")
+        self.llc = SetAssociativeCache(llc_set_count(cfg) * ways * line, ways, line, "llc")
         self.directory = Directory(cfg.num_cores, cfg.latencies)
         self._line_bytes = line
         # Interned "permission hit but structurally evicted" refill result.

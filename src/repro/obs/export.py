@@ -8,7 +8,8 @@ Three formats over the same canonical records
   lossless, for spreadsheets and pandas;
 - **Prometheus text format** — for scraping dashboards. Counters,
   gauges, and histograms are lossless; a timeseries probe is summarised
-  as ``<name>_last`` / ``<name>_samples`` gauges (Prometheus has no
+  as ``<name>_last`` (its newest sample, retained by the stride or not)
+  / ``<name>_samples`` gauges (Prometheus has no
   native notion of an embedded timeline — the full series lives in the
   JSONL/CSV exports).
 
@@ -63,9 +64,9 @@ def to_csv(source: Source) -> str:
 
     Scalars use key ``value``; histograms emit ``sum``, ``count``, and
     one cumulative ``le:<bound>`` row per bucket; timeseries emit one
-    ``sample`` row per point with the sim time in the ``time`` column
-    plus a ``stride`` row. Floats are written with ``repr`` so parsing
-    back is exact.
+    ``sample`` row per point with the sim time in the ``time`` column,
+    a ``stride`` row, and a ``last`` row for the newest sample. Floats
+    are written with ``repr`` so parsing back is exact.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -85,6 +86,9 @@ def to_csv(source: Source) -> str:
             writer.writerow([name, kind, "stride", "", repr(float(record["stride"]))])
             for time, value in record["samples"]:
                 writer.writerow([name, kind, "sample", repr(float(time)), repr(float(value))])
+            if record.get("last") is not None:
+                time, value = record["last"]
+                writer.writerow([name, kind, "last", repr(float(time)), repr(float(value))])
         else:
             raise ValueError(f"cannot export record type {kind!r}")
     return buffer.getvalue()
@@ -116,12 +120,14 @@ def parse_csv(text: str) -> Records:
             continue
         if kind == "timeseries":
             record = records.setdefault(
-                name, {"name": name, "type": kind, "stride": 1, "samples": []}
+                name, {"name": name, "type": kind, "stride": 1, "samples": [], "last": None}
             )
             if key == "stride":
                 record["stride"] = int(float(value))
             elif key == "sample":
                 record["samples"].append([float(time), float(value)])
+            elif key == "last":
+                record["last"] = [float(time), float(value)]
             else:
                 raise ValueError(f"unexpected timeseries row key {key!r}")
             continue
@@ -161,8 +167,9 @@ def to_prometheus(source: Source) -> str:
             lines.append(f"{name}_count {record['count']}")
         elif kind == "timeseries":
             samples = record["samples"]
+            newest = record.get("last") or (samples[-1] if samples else (0.0, 0.0))
             lines.append(f"# TYPE {name}_last gauge")
-            lines.append(f"{name}_last {_fmt(samples[-1][1] if samples else 0.0)}")
+            lines.append(f"{name}_last {_fmt(newest[1])}")
             lines.append(f"# TYPE {name}_samples gauge")
             lines.append(f"{name}_samples {len(samples)}")
         else:

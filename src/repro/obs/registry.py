@@ -207,9 +207,11 @@ class Timeseries:
     When the buffer fills, every second retained sample is dropped and
     the sampling stride doubles, so the series keeps covering the whole
     run at progressively coarser resolution instead of truncating.
+    The newest sample offered is kept as :attr:`last` whether or not the
+    stride retained it, so the series always ends at the current value.
     """
 
-    __slots__ = ("name", "help", "capacity", "samples", "stride", "_skip")
+    __slots__ = ("name", "help", "capacity", "samples", "stride", "last", "_skip")
     kind = "timeseries"
 
     def __init__(self, name: str, help: str = "", capacity: int = DEFAULT_TIMESERIES_CAPACITY):
@@ -220,9 +222,11 @@ class Timeseries:
         self.capacity = capacity
         self.samples: List[Tuple[float, float]] = []
         self.stride = 1
+        self.last: Optional[Tuple[float, float]] = None
         self._skip = 0
 
     def sample(self, time: float, value: float) -> None:
+        self.last = (time, value)
         if self._skip:
             self._skip -= 1
             return
@@ -236,12 +240,16 @@ class Timeseries:
     def count(self) -> int:
         return len(self.samples)
 
+    def _last_record(self) -> Optional[List[float]]:
+        return None if self.last is None else list(self.last)
+
     def record(self) -> Dict[str, Any]:
         return {
             "name": self.name,
             "type": self.kind,
             "stride": self.stride,
             "samples": [[t, v] for t, v in self.samples],
+            "last": self._last_record(),
         }
 
     def snapshot(self) -> Dict[str, Any]:
@@ -251,12 +259,14 @@ class Timeseries:
             "capacity": self.capacity,
             "stride": self.stride,
             "samples": [[t, v] for t, v in self.samples],
+            "last": self._last_record(),
         }
 
     def merge(self, snap: Dict[str, Any]) -> None:
         """Interleave another stream by simulated time (stable: existing
         samples sort before incoming ones at equal times), keep the
-        coarser stride, and re-downsample to this series' capacity."""
+        coarser stride, re-downsample to this series' capacity, and keep
+        the later of the two newest samples (incoming wins a tie)."""
         merged = list(self.samples) + [(t, v) for t, v in snap["samples"]]
         merged.sort(key=lambda sample: sample[0])
         self.stride = max(self.stride, snap["stride"])
@@ -265,6 +275,9 @@ class Timeseries:
             self.stride *= 2
         self.samples = merged
         self._skip = 0
+        incoming = snap.get("last")
+        if incoming is not None and (self.last is None or incoming[0] >= self.last[0]):
+            self.last = (incoming[0], incoming[1])
 
 
 class _NullCounter(Counter):
@@ -450,8 +463,9 @@ def snapshot_delta(
     ``previous``'s state reproduces ``current`` — counters and
     histograms carry differences, gauges carry their newest value when
     it changed, and timeseries carry only the samples appended since
-    ``previous`` (full samples as a fallback when the stream
-    re-downsampled in between, which a receiver cannot replay exactly).
+    ``previous`` plus their newest sample (full samples as a fallback
+    when the stream re-downsampled in between, which a receiver cannot
+    replay exactly).
     Instruments absent from ``previous`` pass through whole, so a delta
     against ``{}`` is a keyframe. Unchanged instruments are omitted,
     which is what makes telemetry frames compact.
@@ -492,13 +506,14 @@ def snapshot_delta(
                 prev["samples"]
             ):
                 appended = cur["samples"][len(prev["samples"]):]
-                if appended:
+                if appended or cur.get("last") != prev.get("last"):
                     delta[name] = {
                         "kind": kind,
                         "help": cur.get("help", ""),
                         "capacity": cur["capacity"],
                         "stride": cur["stride"],
                         "samples": [list(sample) for sample in appended],
+                        "last": cur.get("last"),
                     }
             else:
                 delta[name] = dict(cur)

@@ -59,8 +59,8 @@ def _polling_mem_config() -> MemConfig:
 
 # Poll-cost curves shared across LocalityModel instances. A rack builds
 # one model per server, and homogeneous servers derive the exact same
-# curve from the exact same inputs; interning it turns 2 structural
-# walks per server into 2 per fleet. Keyed by (resident fraction, idle)
+# curve from the exact same inputs; interning it turns 2 curve lookups
+# per server into 2 per fleet. Keyed by (resident fraction, idle)
 # — the only curve inputs besides the memory geometry, which the key is
 # valid for only when that geometry is the module default (idle curves
 # always use the fixed ``MemConfig(num_cores=1)``; custom ``mem_config``

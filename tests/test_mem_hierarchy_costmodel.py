@@ -10,6 +10,8 @@ from repro.mem.costmodel import (
     interpolate_poll_cost,
 )
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+from repro.obs.registry import MetricsRegistry
+from repro.obs.runtime import active_registry
 
 
 def small_config(cores=2):
@@ -98,6 +100,16 @@ def test_poll_cost_curve_validation():
         empty_poll_cost_curve([0])
     with pytest.raises(ValueError):
         empty_poll_cost_curve([1], llc_doorbell_resident_fraction=1.5)
+    for rounds in ({"measure_rounds": 0}, {"measure_rounds": -1}, {"warmup_rounds": -2}):
+        with pytest.raises(ValueError, match="rounds"):
+            empty_poll_cost_curve([4], **rounds)
+    # Every count is checked before anything is derived or replayed: a
+    # bad count late in the list leaves the ambient registry untouched.
+    registry = MetricsRegistry()
+    with active_registry(registry):
+        with pytest.raises(ValueError, match="positive"):
+            empty_poll_cost_curve([4, 64, -1], MemConfig(num_cores=2))
+    assert len(registry) == 0
 
 
 def test_interpolation_between_points():

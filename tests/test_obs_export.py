@@ -73,6 +73,53 @@ def test_prometheus_summarises_timeseries():
     assert parsed["sdp.queue_depth_samples"]["value"] == 10.0
 
 
+def downsampled_registry() -> MetricsRegistry:
+    registry = MetricsRegistry()
+    series = registry.timeseries("sdp.queue_depth", capacity=8)
+    for i in range(24):
+        series.sample(i * 0.25, float(i))
+    assert series.stride > 1 and series.samples[-1][1] != 23.0
+    return registry
+
+
+def test_exports_keep_the_newest_sample_of_a_downsampled_series():
+    registry = downsampled_registry()
+    records = registry.collect()
+    assert records[0]["last"] == [5.75, 23.0]
+    assert parse_jsonl(to_jsonl(registry)) == records
+    assert parse_csv(to_csv(registry)) == records
+    parsed = {record["name"]: record for record in parse_prometheus(to_prometheus(registry))}
+    assert parsed["sdp.queue_depth_last"]["value"] == 23.0
+
+
+def test_rack_queue_depth_last_matches_enqueues_minus_dequeues():
+    # A 4-server HyperPlane/p2c rack whose depth series downsamples: the
+    # exported `_last` must be the depth at the end of the run, not the
+    # last sample the stride kept.
+    from repro.cluster import ClusterConfig, run_cluster
+    from repro.obs.runtime import active_registry
+
+    registry = MetricsRegistry()
+    with active_registry(registry):
+        run_cluster(
+            ClusterConfig(
+                num_servers=4,
+                notification="hyperplane",
+                balancer="p2c",
+                fault_profile="straggler",
+                queues_per_server=32,
+                seed=5,
+            ),
+            load=0.9,
+            duration=0.0008,
+            warmup=0.0001,
+        )
+    assert registry.get("sdp.queue_depth").stride > 1
+    parsed = {record["name"]: record for record in parse_prometheus(to_prometheus(registry))}
+    depth = registry.get("sdp.enqueues").value - registry.get("sdp.dequeues").value
+    assert parsed["sdp.queue_depth_last"]["value"] == depth
+
+
 def test_prometheus_rejects_undeclared_samples():
     with pytest.raises(ValueError):
         parse_prometheus("mystery_metric 1.0\n")

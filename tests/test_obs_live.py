@@ -67,6 +67,23 @@ def test_snapshot_delta_round_trips_every_kind():
     assert receiver.snapshot() == current
 
 
+def test_snapshot_delta_carries_a_skipped_newest_sample():
+    registry = MetricsRegistry(enabled=True)
+    series = registry.timeseries("ts", help="", capacity=8)
+    for i in range(9):
+        series.sample(float(i), float(i))
+    assert series.stride == 2
+    previous = registry.snapshot()
+    series.sample(9.0, 9.0)  # skipped by the stride: only `last` moves
+    current = registry.snapshot()
+    delta = snapshot_delta(current, previous)
+    assert delta["ts"]["samples"] == [] and delta["ts"]["last"] == [9.0, 9.0]
+    receiver = MetricsRegistry(enabled=True)
+    receiver.merge_snapshot(previous)
+    receiver.merge_snapshot(delta)
+    assert receiver.snapshot() == current
+
+
 def test_snapshot_delta_omits_unchanged_instruments():
     registry = build_registry()
     previous = registry.snapshot()

@@ -113,6 +113,33 @@ def test_timeseries_downsamples_instead_of_truncating():
     assert times[-1] > 90.0
 
 
+def test_timeseries_keeps_newest_sample_past_the_stride():
+    series = Timeseries("q", capacity=8)
+    for i in range(101):
+        series.sample(float(i), float(i))
+    assert series.stride > 1
+    assert series.samples[-1] != (100.0, 100.0)  # skipped by the stride
+    assert series.last == (100.0, 100.0)
+    assert series.record()["last"] == [100.0, 100.0]
+    assert series.snapshot()["last"] == [100.0, 100.0]
+    assert Timeseries("empty").record()["last"] is None
+
+
+def test_timeseries_merge_keeps_the_later_newest_sample():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    for i in range(20):
+        a.timeseries("m.depth", capacity=8).sample(float(i), float(i))
+    for i in range(5):
+        b.timeseries("m.depth", capacity=8).sample(100.0 + i, -float(i))
+    a.merge_snapshot(b.snapshot())
+    assert a.get("m.depth").last == (104.0, -4.0)
+    # An older incoming stream does not roll the newest sample back.
+    older = MetricsRegistry()
+    older.timeseries("m.depth").sample(50.0, 7.0)
+    a.merge_snapshot(older.snapshot())
+    assert a.get("m.depth").last == (104.0, -4.0)
+
+
 def test_timeseries_minimum_capacity():
     with pytest.raises(ValueError):
         Timeseries("q", capacity=4)
